@@ -15,8 +15,8 @@
 // inflation from a fixed arrival schedule).
 //
 // Client-side latencies land in the same fixed buckets the server's
-// /metrics histograms use (internal/hist.DefaultBounds), so the two tails
-// are directly comparable: the gap between them is queueing, transport and
+// /metrics histograms use (internal/hist.DefaultBounds: 1µs to 60s in
+// 1-2.5-5 steps), so the two tails are directly comparable: the gap between them is queueing, transport and
 // retry backoff. Every HTTP attempt is observed — a request that rides out
 // two sheds contributes three latency samples and one op.
 //
@@ -587,7 +587,7 @@ func printSummary(w io.Writer, metrics map[string]*opMetrics, elapsed time.Durat
 		}
 		s := m.latency.Snapshot()
 		ops, attempts := m.ops.Load(), m.attempts.Load()
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.2f\t%.2f\t%.2f\t%.1f\t%.1f\t%.1f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f\t%.1f\n",
 			kind, ops, float64(ops)/elapsed.Seconds(),
 			s.Quantile(0.50)*1e3, s.Quantile(0.95)*1e3, s.Quantile(0.99)*1e3,
 			100*rate(m.opErrors.Load(), ops), 100*rate(m.shed.Load(), attempts),

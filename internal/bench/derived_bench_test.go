@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"flownet/internal/cache"
+	"flownet/internal/datagen"
 	"flownet/internal/pattern"
 	"flownet/internal/tin"
 )
@@ -53,8 +56,19 @@ func appendedBenchNetwork(tb testing.TB, deltaEdges int) (*tin.Network, []tin.Ed
 // vs a full pattern.Precompute (cost scales with the whole network). The
 // ratio is the point of the warm-table path; TestUpdateFasterThanRebuild
 // pins it.
+//
+// The prosper-ingest sub-benchmarks repeat the comparison on the delta a
+// served PB search sees under the ingest workload (servedIngestDelta).
 func BenchmarkTableUpdateVsRebuild(b *testing.B) {
 	n, changed, before := appendedBenchNetwork(b, 4)
+	benchUpdateVsRebuild(b, n, changed, before)
+	b.Run("prosper-ingest", func(b *testing.B) {
+		n, changed, before := servedIngestDelta(b)
+		benchUpdateVsRebuild(b, n, changed, before)
+	})
+}
+
+func benchUpdateVsRebuild(b *testing.B, n *tin.Network, changed []tin.EdgeID, before pattern.Tables) {
 	b.Run("update", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -75,6 +89,77 @@ func BenchmarkTableUpdateVsRebuild(b *testing.B) {
 		}
 		b.ReportMetric(float64(n.NumEdges()), "edges/op")
 	})
+}
+
+// The served ingest shape, built once per test binary: a default-size
+// Prosper network (generator seed 1) grown by four in-order 32-interaction
+// batches — the ingests between two PB searches of the served ingest
+// workload. Half of each batch lands on existing edges, half on vertex
+// pairs inside one generator community (80 vertices), so the delta mixes
+// grown edges with new ones that close 2- and 3-cycles.
+var (
+	servedDeltaOnce    sync.Once
+	servedDeltaNet     *tin.Network
+	servedDeltaChanged []tin.EdgeID
+	servedDeltaBefore  pattern.Tables
+	servedDeltaErr     error
+)
+
+const (
+	servedBatches   = 4
+	servedBatchSize = 32
+	servedCommunity = 80
+)
+
+// servedIngestDelta returns the grown network, the ascending union of the
+// four batches' changed edges, and the tables built before the batches.
+// Callers must not mutate any of them.
+func servedIngestDelta(tb testing.TB) (*tin.Network, []tin.EdgeID, pattern.Tables) {
+	tb.Helper()
+	servedDeltaOnce.Do(func() {
+		n := datagen.Prosper(datagen.Config{Seed: 1})
+		servedDeltaBefore = pattern.Precompute(n, true)
+		rng := rand.New(rand.NewSource(1))
+		nv, baseEdges, t := n.NumVertices(), n.NumEdges(), n.MaxTime()
+		union := make(map[tin.EdgeID]bool)
+		for k := 0; k < servedBatches; k++ {
+			items := make([]tin.BatchItem, servedBatchSize)
+			for i := range items {
+				var from, to tin.VertexID
+				if i%2 == 0 {
+					ed := n.Edge(tin.EdgeID(rng.Intn(baseEdges)))
+					from, to = ed.From, ed.To
+				} else {
+					from = tin.VertexID(rng.Intn(nv))
+					start := int(from) / servedCommunity * servedCommunity
+					size := min(servedCommunity, nv-start)
+					for to = from; to == from; {
+						to = tin.VertexID(start + rng.Intn(size))
+					}
+				}
+				t += float64(1 + rng.Intn(3))
+				items[i] = tin.BatchItem{From: from, To: to, Time: t, Qty: float64(1+rng.Intn(20000)) / 100}
+			}
+			_, changed, err := n.AppendBatchDelta(items)
+			if err != nil {
+				servedDeltaErr = err
+				return
+			}
+			for _, e := range changed {
+				union[e] = true
+			}
+		}
+		for e := tin.EdgeID(0); int(e) < n.NumEdges(); e++ {
+			if union[e] {
+				servedDeltaChanged = append(servedDeltaChanged, e)
+			}
+		}
+		servedDeltaNet = n
+	})
+	if servedDeltaErr != nil {
+		tb.Fatal(servedDeltaErr)
+	}
+	return servedDeltaNet, servedDeltaChanged, servedDeltaBefore
 }
 
 // TestUpdateFasterThanRebuild is the CI guard on the acceptance criterion
@@ -106,6 +191,42 @@ func TestUpdateFasterThanRebuild(t *testing.T) {
 	if rebuild < update*5 {
 		t.Errorf("table update (%.3fms) is not >=5x faster than rebuild (%.3fms) on a %d-edge delta",
 			update*1e3, rebuild*1e3, len(changed))
+	}
+}
+
+// TestTableUpdateWorkScalesWithDelta is the deterministic work gate on
+// the row-level updater: on the served ingest delta, Tables.Update's heap
+// allocations must stay within a small multiple of the rows that traverse
+// a changed edge, plus a constant — never proportional to the tables. A
+// recomputed row costs three allocations (Verts, Edges, Arr); the
+// constant covers the per-table path buffer, sort, row array and anchor
+// index. Allocation counts, unlike wall time, do not vary with the machine.
+func TestTableUpdateWorkScalesWithDelta(t *testing.T) {
+	n, changed, before := servedIngestDelta(t)
+	after := before.Update(n, changed)
+	isChanged := make(map[tin.EdgeID]bool, len(changed))
+	for _, e := range changed {
+		isChanged[e] = true
+	}
+	affected, total := 0, 0
+	for _, tb := range []*pattern.Table{after.L2, after.L3, after.C2} {
+		total += len(tb.Rows)
+		for i := range tb.Rows {
+			for _, e := range tb.Rows[i].Edges {
+				if isChanged[e] {
+					affected++
+					break
+				}
+			}
+		}
+	}
+	const perRow, constant = 3, 2048
+	allocs := testing.AllocsPerRun(3, func() { before.Update(n, changed) })
+	t.Logf("%d changed edges: %d of %d rows traverse one; Update allocates %.0f times (bound %d)",
+		len(changed), affected, total, allocs, perRow*affected+constant)
+	if allocs > float64(perRow*affected+constant) {
+		t.Errorf("Tables.Update allocated %.0f times for %d affected rows (bound %d x rows + %d): work no longer scales with the delta",
+			allocs, affected, perRow, constant)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // Design constraints, in order:
 //
-//   - Observation is on the request hot path: one binary search over ~18
+//   - Observation is on the request hot path: one binary search over ~24
 //     floats plus two atomic adds, no locks, no allocation.
 //   - The sum is kept in integer nanoseconds, not float seconds, so it is
 //     exact (no float rounding accumulates) and exporters can derive the
@@ -27,14 +27,17 @@ import (
 )
 
 // DefaultBounds are the upper bucket bounds (seconds) used for serving
-// latency, chosen for flownetd's observed dynamic range: cached replays
-// answer in tens of microseconds, ordinary flow queries in hundreds of
-// microseconds to tens of milliseconds, and heavy batch or pattern queries
-// can run for minutes. The grid is roughly multiplicative (x2–x2.5 per
-// step, a 1-2.5-5 decade pattern) so relative quantile-estimation error is
-// bounded at every scale; see DESIGN.md "Latency telemetry" for the
-// rationale.
+// latency, chosen for flownetd's observed dynamic range: an in-process
+// cache hit answers in a few microseconds, cached replays over HTTP in
+// tens of microseconds, ordinary flow queries in hundreds of microseconds
+// to tens of milliseconds, and heavy batch or pattern queries can run for
+// minutes. The grid runs from 1µs to 60s and is roughly multiplicative
+// (x2–x2.5 per step, a 1-2.5-5 decade pattern) so relative
+// quantile-estimation error is bounded at every scale; see DESIGN.md
+// "Latency telemetry" for the rationale.
 var DefaultBounds = []float64{
+	0.000001, 0.0000025, 0.000005,
+	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05,

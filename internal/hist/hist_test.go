@@ -93,6 +93,61 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+// TestDefaultBoundsResolveMicroseconds pins quantile accuracy over the
+// whole DefaultBounds range: for a constant latency anywhere from the 1µs
+// floor to the 60s top, p50 and p99 stay inside the bucket holding it, so
+// the estimate is off by at most one bucket step (x2.5; x3 for 10s→30s) —
+// a 5µs cache hit reads as microseconds, not as the 50/99µs a 100µs floor
+// produced.
+func TestDefaultBoundsResolveMicroseconds(t *testing.T) {
+	if DefaultBounds[0] != 1e-6 {
+		t.Fatalf("DefaultBounds floor = %v, want 1µs", DefaultBounds[0])
+	}
+	for i := 1; i < len(DefaultBounds); i++ {
+		if r := DefaultBounds[i] / DefaultBounds[i-1]; r > 3+1e-9 {
+			t.Errorf("step %v -> %v is x%.2f, wider than x3", DefaultBounds[i-1], DefaultBounds[i], r)
+		}
+	}
+	for _, d := range []time.Duration{
+		time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond, 7 * time.Microsecond,
+		20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond,
+		300 * time.Microsecond, 4 * time.Millisecond, 60 * time.Millisecond,
+		700 * time.Millisecond, 3 * time.Second, 45 * time.Second,
+	} {
+		h := NewDefault()
+		for i := 0; i < 1000; i++ {
+			h.Observe(d)
+		}
+		s := h.Snapshot()
+		// The bucket holding d is (lo, hi]: one step either side of d.
+		v := d.Seconds()
+		i := 0
+		for DefaultBounds[i] < v {
+			i++
+		}
+		lo, hi := 0.0, DefaultBounds[i]
+		if i > 0 {
+			lo = DefaultBounds[i-1]
+		}
+		for _, q := range []float64{0.5, 0.99} {
+			if got := s.Quantile(q); got < lo || got > hi {
+				t.Errorf("%v: p%v = %v outside its bucket (%v, %v]", d, q*100, got, lo, hi)
+			}
+		}
+	}
+	// The case the floor was extended for, in plain numbers.
+	h := NewDefault()
+	for i := 0; i < 1000; i++ {
+		h.Observe(5 * time.Microsecond)
+	}
+	s := h.Snapshot()
+	for _, q := range []float64{0.5, 0.99} {
+		if got := s.Quantile(q); got < 2.5e-6 || got > 1e-5 {
+			t.Errorf("5µs observations: p%v = %vµs, want within one step of 5µs", q*100, got*1e6)
+		}
+	}
+}
+
 func TestMeanExact(t *testing.T) {
 	h := NewDefault()
 	h.Observe(time.Millisecond)

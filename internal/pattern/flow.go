@@ -21,6 +21,10 @@ func InstanceFlow(n *tin.Network, p *Pattern, inst *Instance, engine core.Engine
 	return res.Flow, nil
 }
 
+// maxPathEdges is the longest path pathArrivals handles: the tables and
+// the graph-browsing searchers walk paths of at most three edges.
+const maxPathEdges = 3
+
 // pathArrivals runs the greedy algorithm along a path of network edges
 // (edges[i].To must equal edges[i+1].From) with an infinite buffer at the
 // first vertex, and returns the total flow into the last vertex together
@@ -33,44 +37,57 @@ func InstanceFlow(n *tin.Network, p *Pattern, inst *Instance, engine core.Engine
 // every time — exactly what the precomputed path tables of Section 5.2
 // store.
 func pathArrivals(n *tin.Network, edges []tin.EdgeID) (float64, []tin.Interaction) {
+	var s pathScratch
+	return s.arrivals(n, edges)
+}
+
+// pathScratch is pathArrivals' reusable arrival buffer: a table build or
+// update runs every path through one scratch, so a row costs exactly one
+// allocation for its arrival sequence, sized to fit.
+type pathScratch struct {
+	arr []tin.Interaction
+}
+
+// arrivals is pathArrivals over s's buffer. The returned sequence is a
+// fresh exact-length copy (nil when nothing arrives), never s's memory.
+func (s *pathScratch) arrivals(n *tin.Network, edges []tin.EdgeID) (float64, []tin.Interaction) {
 	k := len(edges)
-	// Merge the per-edge canonical sequences into one ordered event stream,
-	// tagging each interaction with its path position.
-	type pev struct {
-		ia  tin.Interaction
-		pos int
-	}
-	total := 0
-	for _, e := range edges {
-		total += len(n.Edge(e).Seq)
-	}
-	events := make([]pev, 0, total)
+	// Every edge sequence is sorted by Ord, so the path's event stream is
+	// the k-way merge of the sequences; Ords are distinct, so the order is
+	// unique.
+	var seqs [maxPathEdges][]tin.Interaction
 	for i, e := range edges {
-		for _, ia := range n.Edge(e).Seq {
-			events = append(events, pev{ia, i})
-		}
+		seqs[i] = n.Edge(e).Seq
 	}
-	// Insertion sort by Ord: the input is a concatenation of k sorted runs.
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].ia.Ord < events[j-1].ia.Ord; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-	buf := make([]float64, k+1)
+	var buf [maxPathEdges + 1]float64
 	buf[0] = math.Inf(1)
-	var arrivals []tin.Interaction
-	for _, e := range events {
-		q := math.Min(e.ia.Qty, buf[e.pos])
+	s.arr = s.arr[:0]
+	for {
+		pos := -1
+		for i := 0; i < k; i++ {
+			if len(seqs[i]) > 0 && (pos < 0 || seqs[i][0].Ord < seqs[pos][0].Ord) {
+				pos = i
+			}
+		}
+		if pos < 0 {
+			break
+		}
+		ia := seqs[pos][0]
+		seqs[pos] = seqs[pos][1:]
+		q := math.Min(ia.Qty, buf[pos])
 		if q <= 0 {
 			continue
 		}
-		if !math.IsInf(buf[e.pos], 1) {
-			buf[e.pos] -= q
+		if !math.IsInf(buf[pos], 1) {
+			buf[pos] -= q
 		}
-		buf[e.pos+1] += q
-		if e.pos+1 == k {
-			arrivals = append(arrivals, tin.Interaction{Time: e.ia.Time, Qty: q, Ord: e.ia.Ord})
+		buf[pos+1] += q
+		if pos+1 == k {
+			s.arr = append(s.arr, tin.Interaction{Time: ia.Time, Qty: q, Ord: ia.Ord})
 		}
 	}
-	return buf[k], arrivals
+	if len(s.arr) == 0 {
+		return buf[k], nil
+	}
+	return buf[k], append([]tin.Interaction(nil), s.arr...)
 }

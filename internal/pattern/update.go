@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
 
 	"flownet/internal/tin"
@@ -9,134 +10,91 @@ import (
 // Delta updates (footnote 2 of the paper): interaction networks grow over
 // time, and rebuilding the path tables from scratch after every batch of
 // new interactions is wasteful. Update refreshes a table against the new
-// network state by recomputing only the row groups whose anchor can be
-// affected by a changed edge; all other groups are carried over.
+// network state at row granularity: it recomputes exactly the paths that
+// traverse a changed edge and carries every other row over as is — the
+// same Row value, sharing its Verts, Edges and Arr slices with the old
+// table. Its cost is O(Σ degree) enumeration around the changed edges plus
+// one greedy pass per affected path, and one copy of the row headers; it
+// never re-walks a path whose edges did not change.
 //
 // Requirements on the new network state n: it must be append-derived from
-// the network the table was built on — existing edges keep their EdgeIDs
-// (tin.Network assigns edge ids by first appearance, so appending
-// interactions preserves them) and existing interactions keep their
-// relative canonical order (appends always do: the canonical order is
-// (time, insertion index), and surviving rows are only compared within
-// themselves). `changed` lists the ids, in n, of edges that are new or
-// received new interactions.
+// the network the table was built on. Appends never delete edges, existing
+// edges keep their EdgeIDs (tin.Network assigns edge ids by first
+// appearance) and existing interactions keep their relative canonical
+// order, so a path over unchanged edges has the same flow and arrivals as
+// before; for in-order appends its arrivals keep their Ords too, and the
+// result equals a from-scratch Precompute bit for bit. `changed` lists the
+// ids, in n, of edges that are new or received new interactions.
 //
-// Affected anchors for a changed edge (u, v):
-//   - 2-hop cycles a→b→a: the edge is either (a,b) or (b,a) → anchors u, v.
-//   - 3-hop cycles a→b→c→a: the edge is (a,b) (anchor u), (b,c) (anchor is
-//     an in-neighbor of u), or (c,a) (anchor v).
-//   - 2-hop chains a→b→c: the edge is (a,b) (anchor u) or (b,c) (anchors
-//     are in-neighbors of u).
+// The paths through a changed edge e = (u, v), by e's position:
+//   - 2-hop cycles a→b→a: e is (a,b) or (b,a); one probe for the reverse
+//     edge.
+//   - 3-hop cycles a→b→c→a: e is (a,b) (walk v's out-edges, probe (c,u)),
+//     (b,c) (walk u's in-edges, probe (v,a)), or (c,a) (walk v's
+//     out-edges, probe (b,u)).
+//   - 2-hop chains a→b→c: e is (a,b) (walk v's out-edges) or (b,c) (walk
+//     u's in-edges).
+//
+// The affected paths are deduplicated, computed once each, and merged into
+// the old rows by the table's sort key (anchor, Edges[0], Edges[1]) in one
+// pass: an old row with the same key is replaced, a new key is inserted.
 func (t *Table) Update(n *tin.Network, changed []tin.EdgeID) *Table {
-	affected := make(map[tin.VertexID]bool)
+	var paths []path
 	for _, e := range changed {
-		ed := n.Edge(e)
-		u, v := ed.From, ed.To
-		switch {
-		case t.Cyclic && t.Hops == 2:
-			affected[u] = true
-			affected[v] = true
-		case t.Cyclic && t.Hops == 3:
-			affected[u] = true
-			affected[v] = true
-			for _, in := range n.InEdges(u) {
-				affected[n.Edge(in).From] = true
-			}
-		default: // 2-hop chains
-			affected[u] = true
-			for _, in := range n.InEdges(u) {
-				affected[n.Edge(in).From] = true
-			}
+		for pos := 0; pos < t.Hops; pos++ {
+			paths = t.pathsThrough(n, e, pos, paths)
 		}
+	}
+	slices.SortFunc(paths, func(p, q path) int { return p.compare(&q) })
+
+	if len(paths) == 0 {
+		return t // no path crosses the delta: the table is already current
+	}
+	var sc pathScratch
+	fresh := make([]Row, 0, len(paths))
+	for i := range paths {
+		if i > 0 && paths[i-1].compare(&paths[i]) == 0 {
+			continue // the same path reached through two changed edges
+		}
+		fresh = append(fresh, t.row(n, &paths[i], &sc))
 	}
 
 	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic}
-	// Carry over unaffected groups and recompute affected ones, keeping the
-	// ascending-anchor layout. Affected anchors without existing groups
-	// (new cycle sources) are computed too.
-	anchors := make([]tin.VertexID, 0, len(affected))
-	for a := range affected {
-		anchors = append(anchors, a)
+	out.Rows = make([]Row, 0, len(t.Rows)+len(fresh))
+	var inserted []tin.VertexID // anchors of the rows new to the table, ascending
+	pos := 0                    // next old row to carry
+	for i := range fresh {
+		// The old row this fresh row replaces, or the one it goes before,
+		// lies in the fresh row's anchor group: binary-search the group,
+		// carry every old row ahead of it in one copy, then drop the stale
+		// row if the keys match.
+		a := int(fresh[i].Anchor())
+		lo, hi := max(pos, t.rowsBefore(a)), t.rowsBefore(a+1)
+		k := lo + sort.Search(hi-lo, func(j int) bool {
+			return compareEdges(t.Rows[lo+j].Edges, fresh[i].Edges) >= 0
+		})
+		out.Rows = append(out.Rows, t.Rows[pos:k]...)
+		pos = k
+		if k < hi && compareEdges(t.Rows[k].Edges, fresh[i].Edges) == 0 {
+			pos++
+		} else {
+			inserted = append(inserted, fresh[i].Anchor())
+		}
+		out.Rows = append(out.Rows, fresh[i])
 	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
+	out.Rows = append(out.Rows, t.Rows[pos:]...)
 
-	ai := 0
-	emitAffectedBelow := func(limit tin.VertexID, inclusive bool) {
-		for ai < len(anchors) && (anchors[ai] < limit || (inclusive && anchors[ai] == limit)) {
-			out.Rows = append(out.Rows, t.rowsForAnchor(n, anchors[ai])...)
-			ai++
+	// Each anchor group moves down by the rows inserted ahead of it.
+	nv := n.NumVertices()
+	out.start = make([]int32, nv+1)
+	ins := 0
+	for a := 0; a <= nv; a++ {
+		for ins < len(inserted) && int(inserted[ins]) < a {
+			ins++
 		}
+		out.start[a] = int32(t.rowsBefore(a) + ins)
 	}
-	t.Anchors(func(a tin.VertexID, rows []Row) {
-		emitAffectedBelow(a, false)
-		if affected[a] {
-			if ai < len(anchors) && anchors[ai] == a {
-				ai++
-			}
-			out.Rows = append(out.Rows, t.rowsForAnchor(n, a)...)
-			return
-		}
-		out.Rows = append(out.Rows, rows...)
-	})
-	emitAffectedBelow(tin.VertexID(n.NumVertices()), true)
-	out.buildIndex()
 	return out
-}
-
-// rowsForAnchor recomputes one anchor's row group on the current network
-// state, in the same deterministic order Precompute uses.
-func (t *Table) rowsForAnchor(n *tin.Network, a tin.VertexID) []Row {
-	var rows []Row
-	if t.Cyclic {
-		for _, e1 := range n.OutEdges(a) {
-			b := n.Edge(e1).To
-			if b == a {
-				continue
-			}
-			if t.Hops == 2 {
-				if e2, ok := n.HasEdge(b, a); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-					rows = append(rows, Row{
-						Verts: []tin.VertexID{a, b},
-						Edges: []tin.EdgeID{e1, e2},
-						Flow:  flow, Arr: arr,
-					})
-				}
-				continue
-			}
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == a || c == b {
-					continue
-				}
-				if e3, ok := n.HasEdge(c, a); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2, e3})
-					rows = append(rows, Row{
-						Verts: []tin.VertexID{a, b, c},
-						Edges: []tin.EdgeID{e1, e2, e3},
-						Flow:  flow, Arr: arr,
-					})
-				}
-			}
-		}
-		return rows
-	}
-	for _, e1 := range n.OutEdges(a) {
-		b := n.Edge(e1).To
-		for _, e2 := range n.OutEdges(b) {
-			c := n.Edge(e2).To
-			if c == a || c == b {
-				continue
-			}
-			flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-			rows = append(rows, Row{
-				Verts: []tin.VertexID{a, b, c},
-				Edges: []tin.EdgeID{e1, e2},
-				Flow:  flow, Arr: arr,
-			})
-		}
-	}
-	return rows
 }
 
 // Update refreshes all bundled tables (see Table.Update).

@@ -43,10 +43,12 @@ const (
 	// defaultTableUpdateThreshold is the changed-edge count above which the
 	// accumulated delta is abandoned and the next PB query rebuilds the
 	// tables from scratch (Config.TableUpdateThreshold = 0 selects it).
-	// Update cost scales with the affected-anchor neighborhoods, rebuild
-	// cost with the whole network; for deltas past a few hundred edges the
-	// bookkeeping stops paying for itself on the networks the benchmarks
-	// model.
+	// Update recomputes only the rows whose path traverses a changed edge
+	// and carries the rest over (a fixed copy of the row headers), while a
+	// rebuild recomputes every row; the threshold also bounds the pending
+	// changed-edge union kept between PB queries. At 256 edges an update is
+	// still far cheaper than a rebuild on the networks the benchmarks
+	// model, so the cap errs toward rebuilding early.
 	defaultTableUpdateThreshold = 256
 
 	// maxFootprintVertices caps the per-entry footprint recorded with a

@@ -179,9 +179,9 @@ type EndpointStats struct {
 	// hair low, never high — see endpointMetrics.snapshot).
 	AvgLatencyMs float64 `json:"avg_latency_ms"`
 	// P50/P95/P99LatencyMs are estimated from the fixed-bucket latency
-	// histogram (internal/hist.DefaultBounds — the same buckets /metrics
-	// exposes as flownet_request_latency_seconds, so a dashboard quantile
-	// and this figure agree).
+	// histogram (internal/hist.DefaultBounds, 1µs to 60s — the same
+	// buckets /metrics exposes as flownet_request_latency_seconds, so a
+	// dashboard quantile and this figure agree).
 	P50LatencyMs float64 `json:"p50_latency_ms"`
 	P95LatencyMs float64 `json:"p95_latency_ms"`
 	P99LatencyMs float64 `json:"p99_latency_ms"`
